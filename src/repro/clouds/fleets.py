@@ -65,6 +65,12 @@ class AddressAllocator:
         self._next = [start] * len(self._prefixes)
         self._cursor = 0
 
+    @staticmethod
+    def capacity(prefix: Prefix, start: int = 10) -> int:
+        """How many addresses one prefix yields (host ``start`` up to, but
+        excluding, the last host)."""
+        return prefix.num_hosts() - 1 - start
+
     def allocate(self) -> IPAddress:
         for __ in range(len(self._prefixes)):
             index = self._cursor
@@ -393,6 +399,12 @@ _BACKGROUND_SITES = (
 )
 
 
+#: Extra /22 blocks for background ASes with more resolvers than one /22
+#: holds come from 101.0.0.0/8, disjoint from the one-/22-per-AS range in
+#: 100.0.0.0/8 and from every provider prefix.
+_OVERFLOW_V4_BASE = 101 << 24
+
+
 def build_background_fleet(
     vantage: str, year: int, seed: int
 ) -> Tuple[List[FleetResolver], List[Tuple[ASInfo, List[Prefix]]]]:
@@ -433,17 +445,25 @@ def build_background_fleet(
     fleet: List[FleetResolver] = []
     weights = _lognormal_weights(rng, int(per_as.sum()), sigma=1.5)
     cursor = 0
+    overflow_blocks = 0
     for as_index in range(n_ases):
         asn = 60000 + as_index
         site_code = _BACKGROUND_SITES[as_index % len(_BACKGROUND_SITES)]
         site = GAZETTEER[site_code]
         info = ASInfo(asn, f"ISP-{asn}", f"ISP-{asn}", site.country)
-        v4 = Prefix(4, (100 << 24 | as_index << 10) << (32 - 32), 22)
+        n_members = int(per_as[as_index])
+        v4_prefixes = [Prefix(4, 100 << 24 | as_index << 10, 22)]
+        per_block = AddressAllocator.capacity(v4_prefixes[0])
+        while len(v4_prefixes) * per_block < n_members:
+            v4_prefixes.append(
+                Prefix(4, _OVERFLOW_V4_BASE | overflow_blocks << 10, 22)
+            )
+            overflow_blocks += 1
         v6 = Prefix.parse(f"2a10:{as_index:x}::/32")
-        registrations.append((info, [v4, v6]))
-        v4_alloc = AddressAllocator([v4])
+        registrations.append((info, v4_prefixes + [v6]))
+        v4_alloc = AddressAllocator(v4_prefixes)
         v6_alloc = AddressAllocator([v6])
-        for r_index in range(int(per_as[as_index])):
+        for r_index in range(n_members):
             dual = rng.random() < dual_rate
             behavior = ResolverBehavior(
                 qname_minimization=bool(rng.random() < qmin_rate),

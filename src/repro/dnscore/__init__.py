@@ -9,7 +9,7 @@ and record mixes behave like the protocol the paper measured.
 from .edns import CLASSIC_UDP_LIMIT, RECOMMENDED_BUFSIZE, EdnsOption, EdnsRecord
 from .inspect import annotate, annotated_dump, explain, hexdump
 from .message import Flags, Message, Question, WireDecodeError
-from .names import ROOT, Name, NameError_
+from .names import ROOT, Name, NameError_, canonical_sort_key
 from .rdata import (
     AAAARdata,
     ARdata,
@@ -34,6 +34,7 @@ __all__ = [
     "AAAARdata",
     "ARdata",
     "annotate",
+    "canonical_sort_key",
     "annotated_dump",
     "explain",
     "hexdump",

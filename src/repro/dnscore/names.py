@@ -167,7 +167,7 @@ class Name:
         rightmost (least significant) label."""
         if not isinstance(other, Name):
             return NotImplemented
-        return tuple(reversed(self._key)) < tuple(reversed(other._key))
+        return self._key[::-1] < other._key[::-1]
 
     # -- structure ---------------------------------------------------------
 
@@ -362,6 +362,16 @@ class Name:
         if after is None:
             after = cursor
         return cls(labels), after
+
+
+def canonical_sort_key(name: Name) -> Tuple[bytes, ...]:
+    """Sort key giving canonical DNS order (the order of ``Name.__lt__``).
+
+    ``sorted(names, key=canonical_sort_key)`` builds each key once per sort
+    instead of two reversed tuples per comparison, and stores nothing on
+    the names themselves.
+    """
+    return name._key[::-1]
 
 
 #: The DNS root name (zero labels).

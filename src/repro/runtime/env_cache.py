@@ -1,12 +1,13 @@
 """Worker-persistent environment cache.
 
-Building a :class:`~repro.sim.driver.SimEnvironment` (zone construction and
-signing, fleet setup) costs roughly as much as simulating several thousand
-queries, and the sharded runtime of :mod:`repro.runtime` used to pay that
-cost once *per shard*.  This module lets each worker process pay it once per
-**dataset**: environments are keyed by a deterministic fingerprint of
-``(descriptor, seed)`` and parked here between shards, with a
-``reset_session()`` pass restoring the freshly-built state before reuse.
+Building a :class:`~repro.sim.driver.SimEnvironment` (fleet and server
+setup around the process-shared, sealed zones) costs roughly as much as
+simulating several thousand queries, and the sharded runtime of
+:mod:`repro.runtime` used to pay that cost once *per shard*.  This module
+lets each worker process pay it once per **dataset**: environments are
+keyed by a deterministic fingerprint of ``(descriptor, seed)`` and parked
+here between shards, with a ``reset_session()`` pass restoring the
+freshly-built state before reuse.
 
 Two properties make this safe:
 

@@ -208,24 +208,43 @@ class SimEnvironment:
     ptr_table: PTRTable
 
 
-def build_vantage_zone(descriptor: DatasetDescriptor) -> Optional[Zone]:
-    """The registry zone for the descriptor's vantage (``None`` for root)."""
-    return _build_vantage_zone(descriptor)
+# -- per-process zone memo ---------------------------------------------------
+#
+# Servers only read zones, so one sealed zone per distinct build input serves
+# every environment in the process (``repro experiments`` runs ~29 datasets
+# over 4 distinct zones).  Each memo is keyed by exactly the inputs its
+# builder reads; fork-started pool workers inherit the entries.
 
-
-def _build_vantage_zone(descriptor: DatasetDescriptor) -> Optional[Zone]:
-    if descriptor.vantage == "root":
-        return None
+@lru_cache(maxsize=8)
+def _registry_zone(vantage: str, second_level: int, third_level: int) -> Zone:
     spec = ZoneSpec(
-        origin=descriptor.vantage,
-        second_level_count=descriptor.zone_second_level,
-        third_level_count=descriptor.zone_third_level,
-        signed_fraction=0.55 if descriptor.vantage == "nl" else 0.35,
+        origin=vantage,
+        second_level_count=second_level,
+        third_level_count=third_level,
+        signed_fraction=0.55 if vantage == "nl" else 0.35,
         # zlib.crc32, not hash(): str hashing is salted per process and
         # would break cross-run determinism of the zone content.
-        seed=zlib.crc32(descriptor.vantage.encode()) % (2**31),
+        seed=zlib.crc32(vantage.encode()) % (2**31),
     )
-    return build_registry_zone(spec)
+    return build_registry_zone(spec).seal()
+
+
+@lru_cache(maxsize=8)
+def _root_zone(seed: int) -> Zone:
+    return build_root_zone(seed=seed).seal()
+
+
+def build_vantage_zone(descriptor: DatasetDescriptor) -> Optional[Zone]:
+    """The registry zone for the descriptor's vantage (``None`` for root).
+
+    The zone is sealed and shared: every descriptor with the same vantage
+    and zone sizes gets the same :class:`~repro.zones.Zone` object.
+    """
+    if descriptor.vantage == "root":
+        return None
+    return _registry_zone(
+        descriptor.vantage, descriptor.zone_second_level, descriptor.zone_third_level
+    )
 
 
 def _build_servers(
@@ -290,11 +309,11 @@ def build_authority_world(
         latency = LatencyModel()
 
     with metrics.time_phase("zone_build"):
-        vantage_zone = _build_vantage_zone(descriptor)
+        vantage_zone = build_vantage_zone(descriptor)
         capture = CaptureStore()
         server_sets: Dict[str, ServerSet] = {}
 
-        root_zone = build_root_zone(seed=7)
+        root_zone = _root_zone(7)
         if descriptor.vantage == "root":
             root_set = _build_servers(descriptor, root_zone, capture, latency)
             tld_sets: Dict[Name, ServerSet] = {}
@@ -403,9 +422,9 @@ def reset_environment(env: SimEnvironment) -> None:
 
     Everything a simulation run mutates is reset — capture rows, server and
     resolver session state, fault-injector stats.  Pure memoised structures
-    (latency model, anycast catchments, zone content, response plans, the
-    leaf authority) are deterministic functions of the build inputs and
-    survive untouched.
+    (latency model, anycast catchments, the process-shared sealed zones,
+    response plans, the leaf authority) are deterministic functions of the
+    build inputs and survive untouched.
     """
     env.capture.clear()
     for server_set in env.server_sets.values():

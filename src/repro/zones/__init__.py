@@ -10,7 +10,7 @@ from .builders import (
     synthetic_labels,
 )
 from .popularity import ZipfSampler, weighted_choice
-from .zone import LookupOutcome, LookupResult, RRset, Zone
+from .zone import LookupOutcome, LookupResult, RRset, Zone, ZoneSealedError
 from .zonefile import ZoneFileError, dump_zone, load_zone, parse_records
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "NZ_SECOND_LEVEL_REGISTRIES",
     "RRset",
     "Zone",
+    "ZoneSealedError",
     "ZipfSampler",
     "ZoneFileError",
     "ZoneSpec",

@@ -191,4 +191,4 @@ def build_root_zone(
 def domains_of(zone: Zone) -> List[Name]:
     """All delegated (registered) domains of a registry zone, sorted for
     deterministic indexing by the popularity sampler."""
-    return sorted(zone.delegation_names)
+    return list(zone.sorted_delegations())

@@ -34,7 +34,12 @@ from ..dnscore import (
     RRSIGRdata,
     RRType,
     SOARdata,
+    canonical_sort_key,
 )
+
+
+class ZoneSealedError(RuntimeError):
+    """Raised on an attempt to change a sealed (shared) zone."""
 
 
 class LookupOutcome(enum.Enum):
@@ -119,6 +124,8 @@ class Zone:
         self._delegations: Dict[Name, RRset] = {}
         self._ds: Dict[Name, RRset] = {}
         self._sorted_names: Optional[List[Name]] = None
+        self._sorted_delegations: Optional[Tuple[Name, ...]] = None
+        self._sealed = False
         # Apex SOA is mandatory; callers overwrite via add_rrset if desired.
         self.add_rrset(
             RRset(
@@ -156,6 +163,8 @@ class Zone:
 
     def add_rrset(self, rrset: RRset) -> None:
         """Add (or replace) an RRset.  The owner must be in-bailiwick."""
+        if self._sealed:
+            raise ZoneSealedError(f"zone {self.origin.to_text()} is sealed")
         if not rrset.name.is_subdomain_of(self.origin):
             raise ValueError(
                 f"{rrset.name.to_text()} is out of zone {self.origin.to_text()}"
@@ -170,6 +179,7 @@ class Zone:
         self._sorted_names = None
         if rrset.rrtype is RRType.NS and rrset.name != self.origin:
             self._delegations[rrset.name] = rrset
+            self._sorted_delegations = None
         if rrset.rrtype is RRType.DS:
             self._ds[rrset.name] = rrset
 
@@ -210,11 +220,33 @@ class Zone:
                 )
             )
 
+    def seal(self) -> "Zone":
+        """Freeze the zone's content so one instance can be shared.
+
+        A sealed zone rejects :meth:`add_rrset` and :meth:`add_delegation`
+        with :class:`ZoneSealedError`, and computes its canonical orderings
+        (the NSEC chain and the sorted delegations) here, once.  Returns
+        ``self`` for chaining.
+        """
+        self._sorted()
+        self.sorted_delegations()
+        self._sealed = True
+        return self
+
     # -- introspection --------------------------------------------------------
 
     @property
     def delegation_names(self) -> List[Name]:
         return list(self._delegations)
+
+    def sorted_delegations(self) -> Tuple[Name, ...]:
+        """The delegated names in canonical DNS order, cached until the
+        next change to the delegations."""
+        if self._sorted_delegations is None:
+            self._sorted_delegations = tuple(
+                sorted(self._delegations, key=canonical_sort_key)
+            )
+        return self._sorted_delegations
 
     def rrset(self, name: Name, rrtype: RRType) -> Optional[RRset]:
         return self._rrsets.get((name, rrtype))
@@ -249,7 +281,7 @@ class Zone:
 
     def _sorted(self) -> List[Name]:
         if self._sorted_names is None:
-            self._sorted_names = sorted(self._names)
+            self._sorted_names = sorted(self._names, key=canonical_sort_key)
         return self._sorted_names
 
     def nsec_for(self, qname: Name) -> Optional[ResourceRecord]:

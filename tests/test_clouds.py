@@ -1,5 +1,7 @@
 """Unit tests for provider profiles, fleet construction, and PTR synthesis."""
 
+from collections import Counter
+
 import pytest
 
 from repro.clouds import (
@@ -16,7 +18,7 @@ from repro.clouds import (
     qmin_enabled,
     google_qmin_by_month,
 )
-from repro.clouds.fleets import AddressAllocator
+from repro.clouds.fleets import AddressAllocator, build_background_fleet
 from repro.netsim import IPAddress, Prefix
 
 
@@ -149,6 +151,39 @@ class TestFleets:
         fleet_2018 = build_provider_fleet("Amazon", "nl", 2018, seed=8)
         fleet_2020 = build_provider_fleet("Amazon", "nl", 2020, seed=8)
         assert len(fleet_2020) > len(fleet_2018)
+
+    #: Seeds whose background fleet has an AS with more resolvers than one
+    #: /22 holds (these once failed with "address pool exhausted").
+    OVERFLOW_SEEDS = [("nl", s) for s in (2, 15, 31, 34)] + [
+        ("root", s) for s in (2, 3, 15, 17, 23, 28, 31, 32, 34)
+    ]
+
+    @pytest.mark.parametrize("vantage,seed", OVERFLOW_SEEDS)
+    def test_oversized_background_as_gets_extra_blocks(self, vantage, seed):
+        fleet, registry = build_all_fleets(vantage, 2020, seed)
+        for member in fleet:
+            asn = registry.origin(member.resolver.v4)
+            if member.provider == "Background":
+                assert member.pool == f"as{asn}"
+                if member.resolver.v6 is not None:
+                    assert registry.origin(member.resolver.v6) == asn
+            else:
+                assert registry.operator_of(asn) == member.provider
+        addresses = [m.resolver.v4.to_text() for m in fleet]
+        assert len(set(addresses)) == len(addresses)
+
+    @pytest.mark.parametrize("vantage,seed", [("nl", 2), ("root", 3), ("nl", 3)])
+    def test_background_as_takes_only_the_blocks_it_needs(self, vantage, seed):
+        fleet, registrations = build_background_fleet(vantage, 2020, seed + 99)
+        members = Counter(member.pool for member in fleet)
+        hundred = Prefix.parse("100.0.0.0/8")
+        for info, prefixes in registrations:
+            v4 = [p for p in prefixes if p.family == 4]
+            per_block = AddressAllocator.capacity(v4[0])
+            needed = -(-members[f"as{info.asn}"] // per_block)
+            assert len(v4) == needed
+            assert hundred.contains(v4[0].host(0))
+            assert not any(hundred.contains(p.host(0)) for p in v4[1:])
 
     def test_deterministic(self):
         a, _ = build_all_fleets("nl", 2020, seed=9)
